@@ -63,7 +63,7 @@ from repro.service.service import (
     RecordRing,
     RequestRecord,
     _Pending,
-    _check_precision,
+    check_finite,
 )
 
 
@@ -218,7 +218,6 @@ class KNNFleet:
         clock: Clock | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
-        precision: str | None = None,
         slos: "List[SLO] | None" = None,
         slo_windows: "Tuple[Tuple[float, float], ...] | None" = None,
     ) -> "KNNFleet":
@@ -233,12 +232,6 @@ class KNNFleet:
         seconds deadline or a ``"p95"``-style latency percentile) on every
         group — it needs a concurrent dispatcher to have any effect.
 
-        ``precision`` sets every shard index's distance-kernel tier
-        (``"float64"`` / ``"float32"``; ``None`` keeps the config's tier,
-        itself defaulting via ``REPRO_PRECISION``).  Per-request overrides
-        through :meth:`submit` / :meth:`query` fall back to this index
-        tier; answers are certified byte-identical either way.
-
         ``clock`` / ``tracer`` / ``events`` inject the observability
         plane (see :mod:`repro.obs`): one monotonic clock threaded through
         every wall-time read, a sampled per-batch tracer (``REPRO_OBS``),
@@ -247,9 +240,7 @@ class KNNFleet:
         """
         if n_replicas <= 0:
             raise ValueError(f"n_replicas must be positive, got {n_replicas}")
-        if precision is not None:
-            config = dataclasses.replace(config or KDTreeConfig(), precision=precision)
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = np.atleast_2d(check_finite(points, "points"))
         n = points.shape[0]
         ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
         if ids.size and int(ids.min()) < 0:
@@ -411,12 +402,15 @@ class KNNFleet:
         router's measured fan-out, and a per-shard health row.
         """
         summary: Dict[str, object] = dict(self.records.summary())
-        # The retained-window order statistics are replaced by histogram
-        # interpolation: same keys, but covering every completed request
-        # since fleet start (and identical to what /metrics and the SLO
-        # engine see), not just the last ``retention`` records.
+        # Every latency key comes from the one histogram series: it covers
+        # every completed request since fleet start (identical to what
+        # /metrics and the SLO engine see), and its quantiles are clamped
+        # to its exact min/max, so p50 <= p99 <= max always holds.
+        count, total, _, peak = self._latency_hist.summary()
         summary["p50_latency_s"] = self.latency_quantile(0.5)
         summary["p99_latency_s"] = self.latency_quantile(0.99)
+        summary["mean_latency_s"] = total / count if count else 0.0
+        summary["max_latency_s"] = peak
         summary["slo"] = self.slo.status()
         summary["admission"] = self.admission.stats.as_dict()
         summary["router"] = self.router.stats.as_dict()
@@ -464,7 +458,6 @@ class KNNFleet:
         query: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> int:
         """Enqueue one query through admission control; returns its id.
 
@@ -473,17 +466,13 @@ class KNNFleet:
         drivers can account every offered request.  Like answers, the
         rejection ledger is bounded by the retention capacity: ids of
         rejections older than the most recent ``retention`` are evicted and
-        resolve to a plain ``KeyError``.
-
-        ``precision`` overrides the shard indices' distance-kernel tier
-        for this request (``None`` serves at the index tier); certified
-        identity makes the answer the same bytes either way.
+        resolve to a plain ``KeyError``.  A NaN or inf coordinate raises
+        ``ValueError`` before admission sees the request.
         """
         k = self.k if k is None else k
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        _check_precision(precision)
-        query = np.asarray(query, dtype=np.float64).ravel()
+        query = check_finite(query, "query").ravel()
         if query.shape[0] != self._dims:
             raise ValueError(f"query has {query.shape[0]} dims, fleet has {self._dims}")
         arrival = self._advance(at)
@@ -507,7 +496,7 @@ class KNNFleet:
                 shed_for=request_id,
                 queue_depth=len(self._pending),
             )
-        self._pending.append(_Pending(request_id, arrival, k, query, precision))
+        self._pending.append(_Pending(request_id, arrival, k, query))
         if len(self._pending) >= self.target_batch_size():
             # Quiet on a dead shard: the request was admitted and stays
             # queued (the failed dispatch requeued its batch and latched
@@ -521,7 +510,6 @@ class KNNFleet:
         query: np.ndarray,
         k: int | None = None,
         at: float | None = None,
-        precision: str | None = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Interactive single query: submit, flush, return ``(distances, ids)``.
 
@@ -530,7 +518,7 @@ class KNNFleet:
         :class:`~repro.fleet.replica.ShardUnavailableError`, never a
         misleading still-pending ``KeyError``.
         """
-        request_id = self.submit(query, k=k, at=at, precision=precision)
+        request_id = self.submit(query, k=k, at=at)
         if request_id not in self._results and request_id not in self._rejected:
             self._dispatch(self._now, retry_stalled=True)
         return self.result(request_id)
@@ -575,16 +563,17 @@ class KNNFleet:
         Each point routes to one shard (by region, id hash, or round-robin
         — whatever the plan prescribes) and lands on every live replica of
         that shard's group.  Auto ids continue above the largest id ever
-        indexed fleet-wide.
+        indexed fleet-wide.  NaN or inf coordinates raise ``ValueError``
+        before the clock advances or any queued query is flushed.
         """
+        points = np.atleast_2d(check_finite(points, "points"))
+        if points.shape[1] != self._dims:
+            raise ValueError(f"points have {points.shape[1]} dims, fleet has {self._dims}")
         now = self._advance(at)
         # Quiet flush: a batch stalled on a dead shard must not block a
         # mutation whose own target shards are healthy (the stuck queries
         # answer against the then-current live set once retried).
         self._dispatch_quietly(now)
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self._dims:
-            raise ValueError(f"points have {points.shape[1]} dims, fleet has {self._dims}")
         if ids is None:
             ids = np.arange(
                 self._next_auto_id, self._next_auto_id + points.shape[0], dtype=np.int64
@@ -746,15 +735,12 @@ class KNNFleet:
         }
         try:
             with phase("fleet.batch"):
-                for k, prec_key in sorted({(r.k, r.precision or "") for r in batch}):
-                    precision = prec_key or None
-                    group = [r for r in batch if r.k == k and (r.precision or "") == prec_key]
+                for k in sorted({r.k for r in batch}):
+                    group = [r for r in batch if r.k == k]
                     queries = np.stack([r.query for r in group])
                     k_mark = trace.mark() if trace is not None else 0
                     k_start = self._clock.monotonic()
-                    d, i = self.router.answer(
-                        queries, k, at=flush_time, trace=trace, precision=precision
-                    )
+                    d, i = self.router.answer(queries, k, at=flush_time, trace=trace)
                     if trace is not None:
                         trace.fold(
                             k_mark,

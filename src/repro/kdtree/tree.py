@@ -8,7 +8,6 @@ leaf scans and low-latency traversal.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -16,15 +15,10 @@ import numpy as np
 
 from repro.cluster.metrics import PhaseCounters
 from repro.kdtree.bucket import BucketStore
-from repro.kdtree.leafblocks import PRECISIONS, LeafBlocks
+from repro.kdtree.leafblocks import LeafBlocks
 
 #: Sentinel child / split-dimension value marking a leaf node.
 LEAF = -1
-
-
-def _default_precision() -> str:
-    """Default distance-kernel precision tier (``REPRO_PRECISION`` env)."""
-    return os.environ.get("REPRO_PRECISION", "float64")
 
 
 @dataclass(frozen=True)
@@ -52,12 +46,6 @@ class KDTreeConfig:
         uses approximately 10 x the thread count).
     seed:
         Seed of the deterministic RNG used by the sampling rules.
-    precision:
-        Distance-kernel tier: ``"float64"`` (reference) or ``"float32"``
-        (half the leaf-scan memory traffic; answers are certified
-        byte-identical to float64 by an exact recheck pass — see
-        :func:`repro.kdtree.query.batch_knn`).  Defaults to the
-        ``REPRO_PRECISION`` environment variable, else ``"float64"``.
     """
 
     bucket_size: int = 32
@@ -68,13 +56,8 @@ class KDTreeConfig:
     binning: str = "subinterval"
     data_parallel_factor: int = 10
     seed: int = 12345
-    precision: str = field(default_factory=_default_precision)
 
     def __post_init__(self) -> None:
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
-            )
         if self.bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {self.bucket_size}")
         if self.variance_sample_size <= 0:
@@ -219,11 +202,6 @@ class KDTree:
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box of the indexed points (min, max)."""
         return self._bounds_min.copy(), self._bounds_max.copy()
-
-    @property
-    def precision(self) -> str:
-        """Default distance-kernel tier of this index (from its config)."""
-        return self.config.precision
 
     @property
     def blocks(self) -> LeafBlocks:

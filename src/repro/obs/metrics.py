@@ -265,6 +265,8 @@ class Histogram:
     Stores per-bucket increments; :meth:`snapshot` emits the cumulative
     ``_bucket`` samples Prometheus expects (``le`` inclusive upper bound,
     final ``+Inf`` bucket equal to ``_count``), plus ``_sum``/``_count``.
+    Each series also tracks its exact min and max, which bound
+    :meth:`quantile` and feed :meth:`summary` (not exported).
     """
 
     kind = "histogram"
@@ -287,10 +289,13 @@ class Histogram:
             bounds.append(math.inf)
         self.bounds = tuple(bounds)
         self._lock = new_lock("Histogram._lock")
-        # key -> [per-bucket counts (list, index-aligned with bounds), sum]
+        # key -> [per-bucket counts (index-aligned with bounds), sum, min, max]
         self._series: Dict[Tuple[str, ...], list] = {}
         if not self.labelnames:
-            self._series[()] = [[0] * len(self.bounds), 0.0]
+            self._series[()] = self._new_cell()
+
+    def _new_cell(self) -> list:
+        return [[0] * len(self.bounds), 0.0, math.inf, -math.inf]
 
     def labels(self, **labelvalues) -> _Bound:
         _label_key(self.labelnames, labelvalues)
@@ -307,9 +312,11 @@ class Histogram:
         with self._lock:
             cell = self._series.get(key)
             if cell is None:
-                cell = self._series[key] = [[0] * len(self.bounds), 0.0]
+                cell = self._series[key] = self._new_cell()
             cell[0][idx] += 1
             cell[1] += value
+            cell[2] = min(cell[2], value)
+            cell[3] = max(cell[3], value)
 
     def quantile(self, q: float, **labelvalues) -> float:
         """Interpolated ``q``-quantile of one labeled series.
@@ -320,30 +327,47 @@ class Histogram:
         server-side, here computed at the source).  Observations are
         assumed non-negative (the first bucket interpolates from 0), and
         mass in the ``+Inf`` bucket clamps to the largest finite bound —
-        the histogram cannot see past its own bucket layout.  An empty
-        series answers 0.0.
+        the histogram cannot see past its own bucket layout.  The estimate
+        is then clamped to the series' exact ``[min, max]``, so a quantile
+        never exceeds the largest observation.  An empty series answers 0.0.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         key = _label_key(self.labelnames, labelvalues)
         with self._lock:
             cell = self._series.get(key)
-            counts = list(cell[0]) if cell is not None else []
+            if cell is None:
+                return 0.0
+            counts, lo, hi = list(cell[0]), cell[2], cell[3]
         total = sum(counts)
         if total == 0:
             return 0.0
         target = q * total
         cumulative = 0
         lower = 0.0
+        estimate = None
         for bound, count in zip(self.bounds, counts):
             if count and cumulative + count >= target:
-                if math.isinf(bound):
-                    return lower
-                return lower + (bound - lower) * ((target - cumulative) / count)
+                if not math.isinf(bound):
+                    estimate = lower + (bound - lower) * ((target - cumulative) / count)
+                break
             cumulative += count
             if not math.isinf(bound):
                 lower = bound
-        return lower
+        return min(max(lower if estimate is None else estimate, lo), hi)
+
+    def summary(self, **labelvalues) -> Tuple[int, float, float, float]:
+        """``(count, sum, min, max)`` of one series from one locked read.
+
+        Exact, unlike :meth:`quantile`; an empty series answers zeros.
+        """
+        key = _label_key(self.labelnames, labelvalues)
+        with self._lock:
+            cell = self._series.get(key)
+            count = sum(cell[0]) if cell is not None else 0
+            if not count:
+                return 0, 0.0, 0.0, 0.0
+            return count, cell[1], cell[2], cell[3]
 
     def count_le(self, value: float, **labelvalues) -> Tuple[float, float]:
         """``(observations known <= value, total observations)`` atomically.

@@ -17,6 +17,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.admission import AdmissionPolicy
 from repro.fleet.fleet import KNNFleet
@@ -44,6 +46,42 @@ def _drive(fleet, n=40, k=None, seed=1):
 # ----------------------------------------------------------------------
 
 
+def _fleet_with_latencies(latencies):
+    """Serve one query per latency, spaced so none queues behind another:
+    each request's end-to-end latency is exactly its injected service time."""
+    pending = list(latencies)
+    fleet = KNNFleet.build(_points(n=64), n_shards=1, service_time=lambda n: pending.pop(0))
+    for i in range(len(latencies)):
+        fleet.query(np.zeros(3), at=i * 100.0)
+    assert not pending
+    return fleet
+
+
+def test_stats_latency_keys_share_one_source():
+    # Three latencies inside one 3-per-decade bucket: bucket-edge
+    # interpolation alone would report p99 at twice the max.
+    with _fleet_with_latencies([0.101, 0.1015, 0.102]) as fleet:
+        stats = fleet.stats()
+        count, total, _, peak = fleet.latency_histogram.summary()
+        assert count == 3
+        assert stats["max_latency_s"] == peak == pytest.approx(0.102)
+        assert stats["mean_latency_s"] == total / 3 == pytest.approx(0.1015)
+        assert stats["p50_latency_s"] <= stats["p99_latency_s"] <= stats["max_latency_s"]
+
+
+@given(
+    latencies=st.lists(
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False), min_size=1, max_size=12
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_stats_p50_le_p99_le_max(latencies):
+    with _fleet_with_latencies(latencies) as fleet:
+        stats = fleet.stats()
+        assert stats["p50_latency_s"] <= stats["p99_latency_s"] <= stats["max_latency_s"]
+        assert stats["max_latency_s"] == pytest.approx(max(latencies), abs=1e-9)
+
+
 def test_metrics_text_round_trips_strict_parser():
     with KNNFleet.build(_points(), n_shards=3, n_replicas=2) as fleet:
         _drive(fleet)
@@ -60,8 +98,6 @@ def test_metrics_text_round_trips_strict_parser():
             "repro_service_rebuilds_total",
             "repro_ops_events_total",
             "repro_trace_batches_total",
-            "repro_query_recheck_total",
-            "repro_query_precision_total",
         ):
             assert name in families, f"missing family {name}"
         # The scrape agrees with the fleet's own ledgers.
@@ -342,37 +378,3 @@ def test_service_obs_snapshot_keys():
     }
     assert expected <= set(snap)
     assert snap["n_live"] == 32.0
-    # Precision-tier instrumentation: the float64 query above counts on
-    # its tier, the recheck counter stays zero until float32 is used.
-    assert snap["queries_float64"] == 1.0
-    assert snap["queries_float32"] == 0.0
-    assert snap["recheck_candidates"] == 0.0
-
-
-def test_precision_tier_counters_strict_parsed():
-    with KNNFleet.build(_points(), n_shards=2, n_replicas=2) as fleet:
-        rng = np.random.default_rng(9)
-        t = 0.0
-        for q in rng.normal(size=(6, 3)):
-            t += 1.0
-            fleet.query(q, k=3, at=t, precision="float32")
-            t += 1.0
-            fleet.query(q, k=3, at=t)  # index tier: float64
-        families = parse_prometheus_text(fleet.metrics_text())
-        by_tier: dict = {}
-        for (_, labels), value in families["repro_query_precision_total"].samples.items():
-            label_map = dict(labels)
-            assert {"shard", "replica", "tier"} <= set(label_map)
-            by_tier[label_map["tier"]] = by_tier.get(label_map["tier"], 0.0) + value
-        # The counter ticks per shard-level row, so scatter-gather fan-out
-        # multiplies it; both tiers saw the same queries over the same
-        # shards, so their totals match and cover every request at least once.
-        assert by_tier["float32"] == by_tier["float64"] >= 6.0
-        recheck = sum(families["repro_query_recheck_total"].samples.values())
-        assert recheck >= 0.0  # near-tie-free data may legitimately recheck little
-        snap_total = sum(
-            r.service.obs_snapshot()["recheck_candidates"]
-            for g in fleet.groups
-            for r in g.replicas
-        )
-        assert recheck == snap_total

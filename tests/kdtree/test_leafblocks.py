@@ -1,72 +1,67 @@
-"""Tests for the SoA leaf-block columns and their distance kernels."""
+"""Tests for the SoA leaf-block columns, their distance kernels and the
+snapshot layouts that carry (or used to carry) leaf blocks."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.config import PandaConfig
+from repro.core.panda import PandaKNN
+from repro.io.column_store import ColumnStore
 from repro.kdtree.build import build_kdtree
-from repro.kdtree.leafblocks import (
-    PRECISIONS,
-    LeafBlocks,
-    float32_error_bound,
-    gather_columns_sq,
-    scan_columns_sq,
-)
+from repro.kdtree.leafblocks import LeafBlocks, gather_columns_sq, scan_columns_sq
 from repro.kdtree.query import batch_knn
-from repro.kdtree.serialize import (
-    _BLOCKS32_KEY,
-    SNAPSHOT_VERSION,
-    load_kdtree,
-    save_kdtree,
-)
+from repro.kdtree.serialize import SNAPSHOT_VERSION, load_kdtree, save_kdtree
+from repro.kdtree.validate import check_snapshot_roundtrip
+
+
+def _make_legacy_npz(path):
+    """Add the float32-tier extras older version-2 writers stored to an npz
+    tree snapshot: ``blocks_coords32`` and a ``precision`` config key."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["config"]["precision"] = "float32"
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    arrays["blocks_coords32"] = np.ascontiguousarray(arrays["points"].T.astype(np.float32))
+    np.savez(path, **arrays)
+
+
+def _make_legacy_columns(root):
+    """ColumnStore counterpart of :func:`_make_legacy_npz`."""
+    store = ColumnStore(root / "points")
+    columns = {name: store.read_column(name) for name in store.column_names()}
+    for name in [n for n in columns if n.startswith("dim")]:
+        columns[f"blocks_coords32_{name}"] = columns[name].astype(np.float32)
+    ColumnStore(root / "points", chunk_size=store.manifest()["chunk_size"]).write(columns)
+    meta_path = root / "tree_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["precision"] = "float32"
+    meta_path.write_text(json.dumps(meta))
 
 
 class TestLeafBlocks:
     def test_derived_from_leaf_ordered_points(self):
         rng = np.random.default_rng(0)
         tree = build_kdtree(rng.normal(size=(500, 3)))
-        blocks = tree.blocks
-        assert np.array_equal(blocks.coords, tree.points.T)
-        assert np.array_equal(blocks.coords32, tree.points.T.astype(np.float32))
+        assert np.array_equal(tree.blocks.coords, tree.points.T)
 
     def test_columns_are_contiguous(self):
         rng = np.random.default_rng(1)
         blocks = LeafBlocks.from_points(rng.normal(size=(100, 4)))
         assert blocks.coords.flags.c_contiguous
-        assert blocks.coords32.flags.c_contiguous
         assert blocks.coords.dtype == np.float64
-        assert blocks.coords32.dtype == np.float32
-
-    def test_max_abs_cached(self):
-        pts = np.array([[1.0, -7.5], [3.0, 2.0]])
-        blocks = LeafBlocks.from_points(pts)
-        assert blocks.max_abs == 7.5
-        assert LeafBlocks.from_points(np.empty((0, 3))).max_abs == 0.0
-
-    def test_columns_selector(self):
-        blocks = LeafBlocks.from_points(np.zeros((4, 2)))
-        assert blocks.columns(np.float64) is blocks.coords
-        assert blocks.columns(np.float32) is blocks.coords32
-        with pytest.raises(ValueError):
-            blocks.columns(np.int32)
-
-    def test_coords32_override_must_match_shape(self):
-        with pytest.raises(ValueError):
-            LeafBlocks.from_points(np.zeros((4, 2)), coords32=np.zeros((2, 3), dtype=np.float32))
-
-    def test_precisions_constant(self):
-        assert PRECISIONS == ("float64", "float32")
 
 
 class TestKernelBitIdentity:
     """scan (per-leaf) and gather (batched) must score identical bits."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_scan_equals_gather(self, dtype):
         rng = np.random.default_rng(2)
         blocks = LeafBlocks.from_points(rng.normal(size=(200, 3)) * 100.0)
-        coords = blocks.columns(dtype)
+        coords = blocks.coords
         query = rng.normal(size=3).astype(dtype)
         start, count = 32, 64
         scanned = scan_columns_sq(coords, start, count, query)
@@ -86,75 +81,20 @@ class TestKernelBitIdentity:
             assert np.array_equal(batched[r], row[0])
 
 
-class TestErrorBound:
-    """The float32 band must dominate the true float32/float64 gap."""
-
-    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
-    def test_bound_holds_on_random_data(self, scale):
-        rng = np.random.default_rng(4)
-        n, dims = 2000, 3
-        points = rng.normal(size=(n, dims)) * scale
-        blocks = LeafBlocks.from_points(points)
-        query = rng.normal(size=dims) * scale
-        d64 = scan_columns_sq(blocks.coords, 0, n, query)
-        d32 = scan_columns_sq(blocks.coords32, 0, n, query.astype(np.float32))
-        max_abs = max(blocks.max_abs, float(np.abs(query).max()))
-        band = float32_error_bound(dims, max_abs)
-        assert np.all(np.abs(d32.astype(np.float64) - d64) <= band)
-
-    def test_bound_holds_on_near_ties(self):
-        # Large offset + tiny perturbations: the worst case for float32,
-        # where squared distances agree to ~7 significant digits.
-        rng = np.random.default_rng(5)
-        n, dims = 500, 3
-        base = np.full(dims, 1000.0)
-        points = base + rng.normal(scale=1e-3, size=(n, dims))
-        blocks = LeafBlocks.from_points(points)
-        query = base + rng.normal(scale=1e-3, size=dims)
-        d64 = scan_columns_sq(blocks.coords, 0, n, query)
-        d32 = scan_columns_sq(blocks.coords32, 0, n, query.astype(np.float32))
-        max_abs = max(blocks.max_abs, float(np.abs(query).max()))
-        band = float32_error_bound(dims, max_abs)
-        assert np.all(np.abs(d32.astype(np.float64) - d64) <= band)
-
-    def test_bound_scales_with_magnitude(self):
-        assert float32_error_bound(3, 100.0) > float32_error_bound(3, 1.0)
-        assert float32_error_bound(8, 1.0) > float32_error_bound(3, 1.0)
-
-
 class TestSnapshotRoundTrip:
-    """Leaf blocks persist through both snapshot layouts byte-identically."""
+    """Snapshots without persisted leaf blocks re-derive them on load."""
 
     @pytest.fixture(scope="class")
     def tree(self):
         rng = np.random.default_rng(6)
         return build_kdtree(rng.normal(size=(700, 3)) * 50.0)
 
-    @pytest.mark.parametrize("backend", ["npz", "columns"])
-    def test_coords32_byte_identical(self, tree, tmp_path, backend):
-        path = save_kdtree(tree, tmp_path / "snap", backend=backend)
-        loaded = load_kdtree(path)
-        assert np.array_equal(loaded.blocks.coords32, tree.blocks.coords32)
-        assert loaded.blocks.coords32.dtype == np.float32
-        assert np.array_equal(loaded.blocks.coords, tree.blocks.coords)
-        assert loaded.blocks.max_abs == tree.blocks.max_abs
-
-    @pytest.mark.parametrize("backend", ["npz", "columns"])
-    def test_float32_answers_survive_roundtrip(self, tree, tmp_path, backend):
-        rng = np.random.default_rng(7)
-        queries = rng.normal(size=(40, 3)) * 50.0
-        d0, i0, _ = batch_knn(tree, queries, 6, precision="float32")
-        loaded = load_kdtree(save_kdtree(tree, tmp_path / "snap", backend=backend))
-        d1, i1, _ = batch_knn(loaded, queries, 6, precision="float32")
-        assert np.array_equal(d0, d1)
-        assert np.array_equal(i0, i1)
-
     def test_v1_npz_without_blocks_loads_lazily(self, tree, tmp_path):
-        # Rewrite a fresh v2 snapshot as the v1 layout: no float32 block
-        # column and version 1 in the meta blob.
+        # Rewrite a fresh v2 snapshot as the v1 layout: version 1 in the
+        # meta blob.
         path = save_kdtree(tree, tmp_path / "snap.npz", backend="npz")
         with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files if name != _BLOCKS32_KEY}
+            arrays = {name: data[name] for name in data.files}
         meta = json.loads(bytes(arrays["meta"]).decode())
         assert meta["version"] == SNAPSHOT_VERSION == 2
         meta["version"] = 1
@@ -163,13 +103,49 @@ class TestSnapshotRoundTrip:
         np.savez(v1_path, **arrays)
 
         loaded = load_kdtree(v1_path)
-        # Blocks re-derive lazily from the point array; answers and the
-        # re-rounded float32 columns match the persisted-blocks load.
-        assert np.array_equal(loaded.blocks.coords32, tree.blocks.coords32)
+        # Blocks re-derive lazily from the point array; answers match.
+        assert loaded._blocks is None
+        assert np.array_equal(loaded.blocks.coords, tree.blocks.coords)
         rng = np.random.default_rng(8)
         queries = rng.normal(size=(20, 3)) * 50.0
-        for precision in PRECISIONS:
-            d0, i0, _ = batch_knn(tree, queries, 5, precision=precision)
-            d1, i1, _ = batch_knn(loaded, queries, 5, precision=precision)
-            assert np.array_equal(d0, d1)
-            assert np.array_equal(i0, i1)
+        d0, i0, _ = batch_knn(tree, queries, 5)
+        d1, i1, _ = batch_knn(loaded, queries, 5)
+        assert np.array_equal(d0, d1)
+        assert np.array_equal(i0, i1)
+
+    @pytest.mark.parametrize("backend", ["npz", "columns"])
+    def test_legacy_float32_extras_ignored(self, tree, tmp_path, backend):
+        path = save_kdtree(tree, tmp_path / "snap", backend=backend)
+        (_make_legacy_npz if backend == "npz" else _make_legacy_columns)(path)
+        loaded = load_kdtree(path)
+        check_snapshot_roundtrip(tree, loaded)
+        rng = np.random.default_rng(9)
+        queries = rng.normal(size=(40, 3)) * 50.0
+        d0, i0, _ = batch_knn(tree, queries, 6)
+        d1, i1, _ = batch_knn(loaded, queries, 6)
+        assert d0.tobytes() == d1.tobytes()
+        assert i0.tobytes() == i1.tobytes()
+
+    @pytest.mark.parametrize("layout", ["files", "slabs"])
+    def test_legacy_panda_snapshot_ignores_precision(self, small_points, tmp_path, layout):
+        index = PandaKNN(n_ranks=3, config=PandaConfig(k=4)).fit(small_points)
+        root = tmp_path / "panda"
+        index.snapshot(root, layout=layout)
+        meta_path = root / "panda_meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["local"]["precision"] = "float32"
+        for entry in meta.get("ranks", []):
+            entry["config"]["precision"] = "float32"
+        meta_path.write_text(json.dumps(meta))
+        for path in root.glob("local_tree_*.npz"):
+            _make_legacy_npz(path)
+
+        restored = PandaKNN.restore(root)
+        assert restored.config == index.config
+        for tree, warm_tree in zip(index.local_trees(), restored.local_trees()):
+            check_snapshot_roundtrip(tree, warm_tree)
+        queries = small_points[::40]
+        original = index.query(queries, k=4)
+        warm = restored.query(queries, k=4)
+        assert original.distances.tobytes() == warm.distances.tobytes()
+        assert original.ids.tobytes() == warm.ids.tobytes()

@@ -4,6 +4,8 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -210,8 +212,10 @@ class TestHistogramQuantile:
 
     def test_interpolates_within_bucket(self):
         h = self._hist()
-        for _ in range(10):
-            h.observe(1.5)  # all mass in (1, 2]
+        # All mass in (1, 2], spanning the bucket so the [min, max] clamp
+        # stays out of the way.
+        for v in [1.01] + [1.5] * 8 + [2.0]:
+            h.observe(v)
         # target q*10 walks linearly across the (1, 2] bucket
         assert h.quantile(0.5) == pytest.approx(1.5)
         assert h.quantile(0.1) == pytest.approx(1.1)
@@ -226,9 +230,39 @@ class TestHistogramQuantile:
 
     def test_inf_bucket_clamps_to_largest_finite_bound(self):
         h = self._hist()
-        for _ in range(10):
+        h.observe(3.0)
+        for _ in range(9):
             h.observe(100.0)  # beyond every finite bound
         assert h.quantile(0.99) == pytest.approx(4.0)
+
+    def test_clamped_to_exact_min_and_max(self):
+        # Three observations inside one wide log bucket: interpolation
+        # alone would answer the bucket's upper edge, twice the max.
+        h = Histogram("qc_seconds", "Q.", buckets=log_buckets(1e-6, 10.0, 3))
+        for v in (0.101, 0.1015, 0.102):
+            h.observe(v)
+        assert 0.101 <= h.quantile(0.5) <= h.quantile(0.99) <= 0.102
+        assert h.quantile(1.0) == 0.102
+        assert h.quantile(0.0) == 0.101
+        count, total, lo, hi = h.summary()
+        assert (count, lo, hi) == (3, 0.101, 0.102)
+        assert total == pytest.approx(0.3045)
+
+    def test_summary_of_empty_series_is_zero(self):
+        assert self._hist().summary() == (0, 0.0, 0.0, 0.0)
+
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=50
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_quantiles_ordered_within_observed_range(self, samples):
+        h = Histogram("qp_seconds", "Q.", buckets=log_buckets(1e-6, 10.0, 3))
+        for v in samples:
+            h.observe(v)
+        p50, p99 = h.quantile(0.5), h.quantile(0.99)
+        assert min(samples) <= p50 <= p99 <= max(samples)
 
     def test_labeled_series_are_independent(self):
         h = Histogram("ql_seconds", "Q.", buckets=(1.0, 2.0), labelnames=("tier",))
